@@ -16,22 +16,16 @@ kernel's scheduled-callback count (``Simulator`` sequence counter, which
 equals the number of executed heap entries once the queue drains) by the
 best-of-N wall time.
 
-Schema 2: every workload runs uniformly under every available kernel
-backend (``pure``, ``legacy``, and ``fast`` when the optional compiled
-extension is installed -- see :mod:`repro.sim.backend`), recorded under
-``report["backends"][name]["benchmarks"]``.  The report carries
-provenance (python, CPU model, compiled-backend status) so a baseline
-captured on one host is never silently compared against another;
-``--check`` compares like-for-like backends only and still understands
-committed schema-1 baselines.  The harness also cross-checks that the
-scheduled-event *counts* agree across backends -- a free byte-identity
-smoke on every bench run.
+Schema 3: one table, ``report["benchmarks"][workload]``, measured on
+the one DES kernel.  The report carries provenance (python, CPU model)
+so a baseline captured on one host is never silently compared against
+another.
 
 ``--check`` prints a per-workload delta table (baseline vs current
 events/sec, percent change, the gate's pass/fail verdict) before the
 exit-code decision, and every full (non-``--quick``) run appends its
-schema-2 report plus the git commit to ``benchmarks/history.jsonl`` so
-the perf timeline survives baseline overwrites (``load_history``).
+report plus the git commit to ``benchmarks/history.jsonl`` so the perf
+timeline survives baseline overwrites (``load_history``).
 """
 
 from __future__ import annotations
@@ -44,7 +38,7 @@ import sys
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .sim import Simulator, fast_backend_status, make_simulator
+from .sim import Simulator
 
 __all__ = ["run_benchmarks", "check_regression", "delta_table",
            "write_report", "append_history", "load_history", "main",
@@ -61,17 +55,11 @@ HISTORY_FILE = "benchmarks/history.jsonl"
 # Workloads.  Each returns (events, wall_seconds) for one run.
 # ---------------------------------------------------------------------------
 
-def _make_sim(backend: str) -> Simulator:
-    sim, _resolved = make_simulator(backend)
-    return sim
-
-
-def bench_timeout_chain(quick: bool,
-                        backend: str = "pure") -> Tuple[int, float]:
+def bench_timeout_chain(quick: bool) -> Tuple[int, float]:
     """The dominant pattern: many processes looping on ``yield timeout``."""
     procs = 100 if quick else 400
     steps = 250 if quick else 1000
-    sim = _make_sim(backend)
+    sim = Simulator()
 
     def worker(sim, index, steps):
         delay = 0.5 + (index % 7) * 0.25
@@ -86,12 +74,11 @@ def bench_timeout_chain(quick: bool,
     return sim._seq, wall
 
 
-def bench_event_fanout(quick: bool,
-                       backend: str = "pure") -> Tuple[int, float]:
+def bench_event_fanout(quick: bool) -> Tuple[int, float]:
     """Events with waiters, joins, and AllOf/AnyOf condition churn."""
     rounds = 150 if quick else 600
     width = 8
-    sim = _make_sim(backend)
+    sim = Simulator()
 
     def child(sim, delay):
         yield sim.timeout(delay)
@@ -118,18 +105,19 @@ def bench_event_fanout(quick: bool,
     return sim._seq, wall
 
 
-def bench_fnoc_storm(quick: bool, backend: str = "pure") -> Tuple[int, float]:
+def bench_fnoc_storm(quick: bool) -> Tuple[int, float]:
     """Seeded all-to-all packet storm over the paper's default fNoC."""
     import random
 
+    from .noc.network import FNoC
     from .noc.packet import Packet
     from .noc.topology import Mesh1D
 
     k = 8
     per_source = 150 if quick else 600
     rng = random.Random(0xF0C)
-    sim = _make_sim(backend)
-    noc = sim.fnoc(Mesh1D(k), channel_bandwidth=1000.0)
+    sim = Simulator()
+    noc = FNoC(sim, Mesh1D(k), channel_bandwidth=1000.0)
     # Pre-draw destinations so RNG order never depends on interleaving.
     plans = [
         [(rng.randrange(k - 1), rng.choice((4096, 8192, 16384)))
@@ -152,13 +140,13 @@ def bench_fnoc_storm(quick: bool, backend: str = "pure") -> Tuple[int, float]:
     return sim._seq, wall
 
 
-def bench_ssd_point(quick: bool, backend: str = "pure") -> Tuple[int, float]:
+def bench_ssd_point(quick: bool) -> Tuple[int, float]:
     """One canonical fig-sweep point: dSSD_f under a mixed workload."""
     from .core import build_ssd
     from .workloads import SyntheticWorkload
 
     duration = 10_000.0 if quick else 40_000.0
-    ssd = build_ssd("dssd_f", backend=backend)
+    ssd = build_ssd("dssd_f")
     workload = SyntheticWorkload(pattern="mixed", io_size=4096,
                                  read_fraction=0.5)
     t0 = time.perf_counter()
@@ -167,7 +155,7 @@ def bench_ssd_point(quick: bool, backend: str = "pure") -> Tuple[int, float]:
     return ssd.sim._seq, wall
 
 
-#: name -> workload callable; every workload runs on every backend.
+#: name -> workload callable.
 WORKLOADS: Dict[str, Callable[..., Tuple[int, float]]] = {
     "timeout_chain": bench_timeout_chain,
     "event_fanout": bench_event_fanout,
@@ -194,22 +182,20 @@ def _cpu_model() -> str:
 
 def provenance() -> Dict[str, str]:
     """Where these numbers came from -- recorded into every report."""
-    available, detail = fast_backend_status()
     return {
         "python": platform.python_version(),
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu": _cpu_model(),
-        "fast_backend": detail if available else f"unavailable ({detail})",
     }
 
 
-def _measure(fn: Callable[..., Tuple[int, float]], quick: bool,
-             backend: str, repeats: int) -> Dict[str, float]:
+def _measure(fn: Callable[[bool], Tuple[int, float]], quick: bool,
+             repeats: int) -> Dict[str, float]:
     events = 0
     best = float("inf")
     for _ in range(repeats):
-        run_events, wall = fn(quick, backend=backend)
+        run_events, wall = fn(quick)
         events = run_events
         best = min(best, wall)
     return {
@@ -219,111 +205,36 @@ def _measure(fn: Callable[..., Tuple[int, float]], quick: bool,
     }
 
 
-def available_backends() -> List[str]:
-    """Backends the suite measures on this host, reference first."""
-    backends = ["pure", "legacy"]
-    if fast_backend_status()[0]:
-        backends.append("fast")
-    return backends
-
-
 def run_benchmarks(quick: bool = False,
                    repeats: Optional[int] = None) -> Dict[str, Any]:
-    """Run the full suite; returns the report dict (not yet written).
-
-    Raises ``RuntimeError`` if any workload's deterministic event count
-    disagrees across backends -- that would mean the backends are not
-    observationally equivalent and every equivalence guarantee is void.
-    """
+    """Run the full suite; returns the report dict (not yet written)."""
     repeats = repeats if repeats else (2 if quick else 3)
-    backends = available_backends()
-    report: Dict[str, Any] = {
-        "schema": 2,
+    return {
+        "schema": 3,
         "quick": quick,
         "provenance": provenance(),
-        "backends": {name: {"benchmarks": {}} for name in backends},
+        "benchmarks": {name: _measure(fn, quick, repeats)
+                       for name, fn in WORKLOADS.items()},
     }
-    for name, fn in WORKLOADS.items():
-        for backend in backends:
-            report["backends"][backend]["benchmarks"][name] = \
-                _measure(fn, quick, backend, repeats)
-        counts = {
-            backend: report["backends"][backend]["benchmarks"][name]["events"]
-            for backend in backends
-        }
-        if len(set(counts.values())) != 1:
-            raise RuntimeError(
-                f"backend divergence: workload {name!r} scheduled "
-                f"different event counts per backend: {counts}"
-            )
-    pure = report["backends"]["pure"]["benchmarks"]
-    speedups = {}
-    for name, legacy_entry in report["backends"]["legacy"]["benchmarks"] \
-            .items():
-        slow = legacy_entry["events_per_sec"]
-        if slow > 0:
-            speedups[name] = round(pure[name]["events_per_sec"] / slow, 3)
-    if speedups:
-        report["speedup_vs_callback_path"] = speedups
-    if "fast" in report["backends"]:
-        fast_speedups = {}
-        for name, entry in report["backends"]["fast"]["benchmarks"].items():
-            base = pure[name]["events_per_sec"]
-            if base > 0:
-                fast_speedups[name] = round(
-                    entry["events_per_sec"] / base, 3)
-        report["speedup_fast_vs_pure"] = fast_speedups
-    return report
-
-
-def _backend_tables(report: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """Normalize schema 1 or 2 to ``{backend: {workload: entry}}``.
-
-    Schema 1 stored the default-kernel numbers under ``benchmarks`` and
-    the callback-path numbers under ``legacy_path``; schema 2 keys every
-    backend uniformly under ``backends``.
-    """
-    if "backends" in report:
-        return {name: dict(entry.get("benchmarks", {}))
-                for name, entry in report["backends"].items()}
-    tables: Dict[str, Dict[str, Any]] = {}
-    if report.get("benchmarks"):
-        tables["pure"] = dict(report["benchmarks"])
-    if report.get("legacy_path"):
-        tables["legacy"] = dict(report["legacy_path"])
-    return tables
 
 
 def check_regression(current: Dict[str, Any], baseline: Dict[str, Any],
                      tolerance: float = 0.30) -> List[str]:
-    """Regression descriptions, comparing like-for-like backends only.
-
-    A backend present in the baseline but not measured now (e.g. the
-    baseline host had the compiled extension, this one does not) is
-    skipped -- cross-backend comparison would gate speed claims the
-    current host cannot reproduce.  A *workload* missing inside a shared
-    backend is still a failure.
-    """
+    """Regression descriptions: workloads too slow or not measured."""
     failures = []
-    current_tables = _backend_tables(current)
-    baseline_tables = _backend_tables(baseline)
-    for backend in sorted(baseline_tables):
-        if backend not in current_tables:
+    observed = current["benchmarks"]
+    for name, entry in baseline["benchmarks"].items():
+        cur = observed.get(name)
+        if cur is None:
+            failures.append(f"{name}: missing from current run")
             continue
-        observed = current_tables[backend]
-        for name, entry in baseline_tables[backend].items():
-            cur = observed.get(name)
-            label = f"{backend}/{name}"
-            if cur is None:
-                failures.append(f"{label}: missing from current run")
-                continue
-            floor = (1.0 - tolerance) * entry.get("events_per_sec", 0.0)
-            if cur["events_per_sec"] < floor:
-                failures.append(
-                    f"{label}: {cur['events_per_sec']:.0f} events/s < "
-                    f"{floor:.0f} (baseline {entry['events_per_sec']:.0f} "
-                    f"- {tolerance:.0%})"
-                )
+        floor = (1.0 - tolerance) * entry.get("events_per_sec", 0.0)
+        if cur["events_per_sec"] < floor:
+            failures.append(
+                f"{name}: {cur['events_per_sec']:.0f} events/s < "
+                f"{floor:.0f} (baseline {entry['events_per_sec']:.0f} "
+                f"- {tolerance:.0%})"
+            )
     return failures
 
 
@@ -331,38 +242,29 @@ def delta_table(current: Dict[str, Any], baseline: Dict[str, Any],
                 tolerance: float = 0.30) -> str:
     """Per-workload baseline-vs-current comparison, as printable text.
 
-    One row per ``(backend, workload)`` in the baseline: baseline and
-    current events/sec, percent change, and the verdict the regression
-    gate applies (``FAIL`` below ``(1 - tolerance) x baseline``).  A
-    backend the current host did not measure is marked ``skip``, never
-    ``FAIL`` -- mirroring :func:`check_regression` exactly, so the table
-    is the human-readable form of the gate's decision.
+    One row per workload in the baseline: baseline and current
+    events/sec, percent change, and the verdict the regression gate
+    applies (``FAIL`` below ``(1 - tolerance) x baseline``) -- the
+    human-readable form of :func:`check_regression`'s decision.
     """
-    current_tables = _backend_tables(current)
-    baseline_tables = _backend_tables(baseline)
-    rows: List[Tuple[str, str, str, str, str]] = []
-    for backend in sorted(baseline_tables):
-        measured = current_tables.get(backend)
-        for name in sorted(baseline_tables[backend]):
-            base = baseline_tables[backend][name].get("events_per_sec", 0.0)
-            label = f"{base:.0f}"
-            if measured is None:
-                rows.append((backend, name, label, "-",
-                             "skip (backend not measured)"))
-                continue
-            entry = measured.get(name)
-            if entry is None:
-                rows.append((backend, name, label, "-", "FAIL (missing)"))
-                continue
-            cur = entry["events_per_sec"]
-            delta = f"{(cur - base) / base * 100.0:+.1f}%" if base > 0 \
-                else "n/a"
-            ok = cur >= (1.0 - tolerance) * base
-            rows.append((backend, name, label, f"{cur:.0f}",
-                         f"{delta} {'ok' if ok else 'FAIL'}"))
-    headers = ("backend", "workload", "base ev/s", "now ev/s", "delta")
+    measured = current["benchmarks"]
+    rows: List[Tuple[str, str, str, str]] = []
+    for name in sorted(baseline["benchmarks"]):
+        base = baseline["benchmarks"][name].get("events_per_sec", 0.0)
+        label = f"{base:.0f}"
+        entry = measured.get(name)
+        if entry is None:
+            rows.append((name, label, "-", "FAIL (missing)"))
+            continue
+        cur = entry["events_per_sec"]
+        delta = f"{(cur - base) / base * 100.0:+.1f}%" if base > 0 \
+            else "n/a"
+        ok = cur >= (1.0 - tolerance) * base
+        rows.append((name, label, f"{cur:.0f}",
+                     f"{delta} {'ok' if ok else 'FAIL'}"))
+    headers = ("workload", "base ev/s", "now ev/s", "delta")
     widths = [max(len(headers[col]), *(len(row[col]) for row in rows))
-              if rows else len(headers[col]) for col in range(5)]
+              if rows else len(headers[col]) for col in range(4)]
     lines = [" | ".join(h.ljust(w) for h, w in zip(headers, widths)),
              "-+-".join("-" * w for w in widths)]
     for row in rows:
@@ -386,7 +288,7 @@ def append_history(report: Dict[str, Any],
                    path: str = HISTORY_FILE) -> Dict[str, Any]:
     """Append one run record to the JSONL history; returns the record.
 
-    The record is the full schema-2 report plus the git commit it was
+    The record is the full report plus the git commit it was
     measured at, so a perf timeline can be reconstructed offline
     (``load_history``) without re-running anything.
     """
@@ -417,8 +319,8 @@ def provenance_note(current: Dict[str, Any],
     mine = current.get("provenance", {}).get("cpu")
     theirs = baseline.get("provenance", {}).get("cpu")
     if theirs is None:
-        return ("baseline has no provenance (schema 1); wall-clock "
-                "comparison may span different hosts")
+        return ("baseline has no provenance; wall-clock comparison may "
+                "span different hosts")
     if mine != theirs:
         return (f"baseline CPU differs: baseline={theirs!r} "
                 f"current={mine!r}; events/sec is host-relative")
@@ -442,26 +344,14 @@ def main(quick: bool = False, output: Optional[str] = None,
     are (CI smoke numbers would drown the timeline in noise).
     """
     report = run_benchmarks(quick=quick, repeats=repeats)
-    tables = _backend_tables(report)
-    width = max(len(name) for table in tables.values() for name in table)
-    bwidth = max(len(name) for name in tables)
-    print(f"{'benchmark':<{width}} | {'backend':<{bwidth}} | "
-          f"{'events':>9} | {'wall_s':>8} | {'events/sec':>12}")
-    print("-" * (width + bwidth + 43))
-    for name in next(iter(tables.values())):
-        for backend, table in tables.items():
-            entry = table.get(name)
-            if entry is None:
-                continue
-            print(f"{name:<{width}} | {backend:<{bwidth}} | "
-                  f"{entry['events']:>9} | {entry['wall_s']:>8.4f} | "
-                  f"{entry['events_per_sec']:>12.0f}")
-    for name, ratio in report.get("speedup_vs_callback_path", {}).items():
-        print(f"[speedup vs callback path] {name}: {ratio:.2f}x",
-              file=sys.stderr)
-    for name, ratio in report.get("speedup_fast_vs_pure", {}).items():
-        print(f"[speedup fast vs pure] {name}: {ratio:.2f}x",
-              file=sys.stderr)
+    table = report["benchmarks"]
+    width = max(len(name) for name in table)
+    print(f"{'benchmark':<{width}} | {'events':>9} | {'wall_s':>8} | "
+          f"{'events/sec':>12}")
+    print("-" * (width + 40))
+    for name, entry in table.items():
+        print(f"{name:<{width}} | {entry['events']:>9} | "
+              f"{entry['wall_s']:>8.4f} | {entry['events_per_sec']:>12.0f}")
     if output:
         write_report(report, output)
         print(f"[bench] wrote {output}", file=sys.stderr)

@@ -77,6 +77,9 @@ def config_from_state(state: dict) -> SSDConfig:
     timing ranges, ECC ladder steps) are coerced back on the way in.
     """
     state = dict(state)
+    # Older snapshots carry a kernel "backend" field; there is one
+    # kernel now, and the field never affected simulated results.
+    state.pop("backend", None)
     arch = ArchPreset(state.pop("arch"))
     geometry = FlashGeometry(
         **{key: int(value)

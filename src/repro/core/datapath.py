@@ -32,7 +32,7 @@ from typing import Callable, Generator, List, Optional
 from ..controller import Breakdown, Dram, EccEngine, FlashController, SystemBus
 from ..errors import ConfigError, FlashError
 from ..flash import PhysAddr
-from ..sim import Simulator
+from ..sim import Simulator, TokenPool
 from .copyback import CopybackCommand, CopybackStatus
 from .transport import CopybackTransport
 
@@ -76,7 +76,7 @@ class BaselineDatapath:
         # as the dBUF does in the decoupled architectures (keeping the
         # comparison's staging capacity equal across Table 2 configs).
         self.gc_staging = [
-            sim.token_pool(staging_pages, name=f"staging{c.controller_id}")
+            TokenPool(sim, staging_pages, name=f"staging{c.controller_id}")
             for c in controllers
         ]
 
@@ -596,7 +596,7 @@ class DecoupledDatapath(BaselineDatapath):
         self.check_ecc = check_ecc
         self.unchecked_copies = 0
         self.dbufs = [
-            sim.token_pool(dbuf_pages, name=f"dbuf{c.controller_id}")
+            TokenPool(sim, dbuf_pages, name=f"dbuf{c.controller_id}")
             for c in controllers
         ]
         self.copyback_log: List[CopybackCommand] = []

@@ -16,9 +16,9 @@ import random
 from typing import Dict, Generator, Iterable, List, Optional
 
 from ..errors import AddressError, FlashError
-from ..sim import Simulator
+from ..sim import Resource, Simulator
 from .geometry import FlashGeometry, PhysAddr
-from .timing import FlashTiming, TimingTable, batch_max
+from .timing import FlashTiming, TimingTable
 
 __all__ = ["BlockState", "FlashPlane", "FlashBackend", "OpBreakdown"]
 
@@ -76,7 +76,7 @@ class FlashPlane:
     def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
         self.name = name
-        self.resource = sim.resource(capacity=1, name=name)
+        self.resource = Resource(sim, capacity=1, name=name)
         self.busy_time = 0.0
         self.op_counts: Dict[str, int] = {"read": 0, "program": 0, "erase": 0}
 
@@ -302,9 +302,7 @@ class FlashBackend:
             for addr in addr_list
         ]
         waits = yield self.sim.all_of(procs)
-        # All planes complete at one timestamp; the worst-case wait
-        # resolves in one (NumPy-batched) reduction.
-        return OpBreakdown(batch_max(waits), duration)
+        return OpBreakdown(max(waits), duration)
 
     # -- checkpointing -----------------------------------------------------------
 

@@ -14,10 +14,21 @@ Two signals feed the corpus scheduler:
   exhaustion, queue-full drops...).  These catch state-space novelty
   that pure control-flow coverage misses: the same code path at GC
   depth 8 is a different scenario than at depth 1.
+
+The cyclic garbage collector is paused while a collector traces.  Dead
+devices from earlier executions are reference cycles of processes and
+generators; when the cyclic GC frees one, each unfinished generator is
+closed and its ``finally``/``except`` cleanup runs in watched modules.
+Traced, those lines would land in whichever execution happened to be
+running when the GC fired -- a moment set by the process's allocation
+history, not by the genome -- and the corpus hash would stop being a
+function of the seed.  Cleanup then runs untraced, after the collector
+exits.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 from pathlib import Path
 from typing import Optional, Set
@@ -73,6 +84,7 @@ class CoverageCollector:
         self._last: dict = {}   # watch key -> last line (monitoring mode)
         self._mode = "off"
         self._tool_id: Optional[int] = None
+        self._gc_was_enabled = False
 
     # -- shared helpers ------------------------------------------------------
 
@@ -150,6 +162,8 @@ class CoverageCollector:
     # -- context manager -----------------------------------------------------
 
     def __enter__(self) -> "CoverageCollector":
+        self._gc_was_enabled = gc.isenabled()
+        gc.disable()
         if not self._try_start_monitoring():
             sys.settrace(self._global_trace)
             self._mode = "settrace"
@@ -161,6 +175,8 @@ class CoverageCollector:
         elif self._mode == "settrace":
             sys.settrace(None)
         self._mode = "off"
+        if self._gc_was_enabled:
+            gc.enable()
 
 
 # -- semantic features --------------------------------------------------------

@@ -1,24 +1,22 @@
-"""Bench history log, the --check delta table, and the profiler."""
+"""Bench baseline, history log, the --check gate and the profiler."""
 
 import json
 
 import pytest
 
-from repro.bench import (append_history, check_regression, delta_table,
-                         load_history)
+from repro.bench import (WORKLOADS, append_history, check_regression,
+                         delta_table, load_history, provenance_note)
 from repro.profile import run_profile, top_table, write_flamegraph_svg
 
 
-def _report(ev_per_sec, quick=False):
+def _report(ev_per_sec, quick=False, cpu="test-cpu"):
     return {
-        "schema": 2,
+        "schema": 3,
         "quick": quick,
-        "provenance": {"cpu": "test-cpu"},
-        "backends": {
-            "pure": {"benchmarks": {
-                "ssd_point": {"events": 100, "wall_s": 1.0,
-                              "events_per_sec": ev_per_sec},
-            }},
+        "provenance": {"cpu": cpu},
+        "benchmarks": {
+            "ssd_point": {"events": 100, "wall_s": 1.0,
+                          "events_per_sec": ev_per_sec},
         },
     }
 
@@ -30,9 +28,9 @@ def test_history_roundtrip(tmp_path):
     records = load_history(path)
     assert len(records) == 2
     assert records[0]["git_sha"] == first["git_sha"]
-    assert records[0]["schema"] == 2
-    assert [r["backends"]["pure"]["benchmarks"]["ssd_point"]
-            ["events_per_sec"] for r in records] == [100.0, 120.0]
+    assert records[0]["schema"] == 3
+    assert [r["benchmarks"]["ssd_point"]["events_per_sec"]
+            for r in records] == [100.0, 120.0]
     # Append-only and line-oriented: every line parses independently.
     with open(path) as handle:
         for line in handle:
@@ -58,19 +56,41 @@ def test_delta_table_states_pass_and_fail():
     assert not check_regression(_report(95.0), baseline, 0.30)
 
 
-def test_delta_table_skips_unmeasured_backend():
-    baseline = _report(100.0)
-    baseline["backends"]["fast"] = {"benchmarks": {
-        "ssd_point": {"events": 100, "wall_s": 0.5,
-                      "events_per_sec": 200.0}}}
-    table = delta_table(_report(100.0), baseline)
-    assert "skip (backend not measured)" in table
-    assert "FAIL" not in table
+def test_check_regression_flags_missing_workload():
+    broken = _report(100.0)
+    del broken["benchmarks"]["ssd_point"]
+    failures = check_regression(broken, _report(100.0))
+    assert failures == ["ssd_point: missing from current run"]
+    assert "FAIL (missing)" in delta_table(broken, _report(100.0))
+
+
+def test_provenance_note_flags_cross_host_baselines():
+    unknown = _report(1.0)
+    del unknown["provenance"]
+    assert provenance_note(_report(1.0), unknown) is not None
+    assert provenance_note(_report(1.0), _report(1.0)) is None
+    note = provenance_note(_report(1.0, cpu="cpu-a"),
+                           _report(1.0, cpu="cpu-b"))
+    assert note is not None and "cpu-b" in note
+
+
+def test_committed_baseline_has_one_table_with_provenance():
+    with open("BENCH_kernel.json") as handle:
+        baseline = json.load(handle)
+    assert baseline["schema"] == 3
+    assert baseline["quick"] is False
+    assert baseline["provenance"]["cpu"]
+    assert set(baseline["benchmarks"]) == set(WORKLOADS)
+    for entry in baseline["benchmarks"].values():
+        assert entry["events"] > 0 and entry["events_per_sec"] > 0
+    # The gate passes against itself and the history log is readable.
+    assert check_regression(baseline, baseline) == []
+    assert load_history("benchmarks/history.jsonl")[-1]["schema"] == 3
 
 
 @pytest.fixture(scope="module")
 def fanout_stats():
-    return run_profile("event_fanout", quick=True, backend="pure")
+    return run_profile("event_fanout", quick=True)
 
 
 def test_profile_top_table(fanout_stats):

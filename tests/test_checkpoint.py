@@ -231,6 +231,17 @@ def test_config_roundtrip_reliability():
     assert restored == config
 
 
+def test_restore_drops_kernel_backend_of_older_snapshots():
+    """Snapshots from before the single kernel carry a "backend" key."""
+    ssd = _build("dssd")
+    ssd.run(_workload(), max_requests=60)
+    state = json.loads(json.dumps(snapshot_ssd(ssd)))
+    state["config"]["backend"] = "legacy"
+    assert config_from_state(state["config"]) == ssd.config
+    restored = restore_ssd(state)
+    assert snapshot_ssd(restored) == snapshot_ssd(ssd)
+
+
 # -- fast-forward aging --------------------------------------------------------
 
 def test_fastforward_wear_uniform_mean():

@@ -39,6 +39,14 @@ def test_cli_accepts_runner_flags(capsys):
     assert "Table 3" in out
 
 
+def test_cli_backend_flag_is_a_deprecated_noop(capsys):
+    assert main(["table3", "--backend", "pure"]) == 0
+    assert "Table 3" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["table3", "--backend", "legacy"])
+    capsys.readouterr()
+
+
 def test_cli_help_documents_runner_flags(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
