@@ -87,11 +87,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="fleet: number of simulated SSD shards (default 16; "
              "ignored by other experiments)",
     )
-    parser.add_argument(
-        "--backend", choices=["pure"], default=None,
-        help="deprecated no-op: there is one DES kernel (pure Python); "
-             "the flag is accepted for one more release",
-    )
     bench_group = parser.add_argument_group(
         "bench options", "only used with the 'bench' experiment")
     bench_group.add_argument(

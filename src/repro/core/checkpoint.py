@@ -147,7 +147,7 @@ def quiescence_report(ssd) -> list:
     """
     report = []
     sim = ssd.sim
-    if sim._queue:
+    if sim.pending:
         report.extend(sim.pending_summary())
     report.extend(sim.outstanding_holds())
     outstanding = ssd.host.outstanding
@@ -181,7 +181,7 @@ def snapshot_ssd(ssd) -> dict:
     # and raises SimulationError with the pending-callback enumeration.
     sim_state = ssd.sim.snapshot_state()
     # The queue can be empty while slots stay held (a leaked hold with
-    # no waiter parks nothing in the heap) -- name the leaks explicitly
+    # no waiter schedules nothing) -- name the leaks explicitly
     # rather than letting a component state_dict fail opaquely later.
     leaks = quiescence_report(ssd)
     if leaks:
@@ -306,8 +306,8 @@ def restore_ssd(state: dict):
                         float(measure["gc_snapshot"][1]))
 
     # Respawn the flusher pool at time zero and let the workers park on
-    # the (empty) flush queue -- the bootstrap events drain and leave no
-    # heap entries, exactly the state the original device's flushers
+    # the (empty) flush queue -- the bootstrap events drain and leave
+    # nothing scheduled, exactly the state the original device's flushers
     # were in at the quiescent point.  Only *then* rewind the clock and
     # the event sequence counter, so phase-two events get the same
     # (time, seq) keys as in an uninterrupted run.

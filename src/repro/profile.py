@@ -169,9 +169,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("workload", choices=sorted(WORKLOADS),
                         help="bench workload to profile")
-    parser.add_argument("--backend", choices=["pure"], default=None,
-                        help="deprecated no-op: there is one DES kernel "
-                             "(pure Python)")
     parser.add_argument("--full", action="store_true",
                         help="full-size workload (default: quick)")
     parser.add_argument("-n", "--top", type=int, default=25, metavar="N",

@@ -28,32 +28,42 @@ Hot-path design
 ---------------
 
 The dominant pattern in the SSD models is a process looping on ``yield
-sim.timeout(...)``.  The kernel serves it with a *direct-resume* fast
-path (see DESIGN.md "Performance" for the invariants):
+sim.timeout(...)`` or on a grant/transfer event fired at the current
+time.  The kernel keeps both cheap (see DESIGN.md "The fast-resume
+kernel"):
 
-* Heap entries for events hold the event object itself -- events are
-  callable, ``event()`` dispatches -- so triggering allocates no bound
-  method.
+* Work due *later* sits in a ``(time, seq, fn, args)`` heap.  Work due
+  *now* -- ``Event.trigger``/``fail``, a late ``add_callback``, a
+  process start or interrupt, ``Timeout(0)``, ``schedule(0, ...)`` and
+  any delay absorbed by float rounding -- is appended to the *now-lane*,
+  a FIFO deque of zero-argument callables, and never touches the heap.
+* Events are callable (``event()`` dispatches), so both queues hold the
+  event object itself and triggering allocates no bound method.
 * The first process to wait on an event is stored in the ``_waiter``
   slot and resumed straight from the dispatch, with no
   ``Event.callbacks`` list and no ``Process._on_event`` hop.  The list
   is only allocated once a *second* waiter (or a non-process callback)
   appears; dispatch runs the direct waiter first, which is exactly
   registration order.
-* ``Timeout`` initializes its slots inline and pushes its own heap
-  entry, skipping the ``Event.__init__``/``schedule`` call chain.
+* ``Timeout`` initializes its slots inline and queues itself, skipping
+  the ``Event.__init__``/``schedule`` call chain.
 
-None of this changes *when* anything runs: heap entries are pushed in
-program order and the sequence counter advances once per entry, so
-event ordering -- and therefore every simulated timestamp -- is pinned
-by the committed schedule digests in ``tests/golden_schedules.json``.
+None of this changes *when* anything runs.  The sequence counter still
+advances once per queued callback, and at time ``T`` the heap entries
+due at ``T`` run before the lane: they were pushed before the clock
+reached ``T``, so they carry lower sequence numbers than every lane
+entry, which is pushed at ``T`` and kept in push order.  Dispatch is
+therefore exactly the global ``(time, seq)`` order, pinned by the
+committed schedule digests in ``tests/golden_schedules.json``.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
+from functools import partial
 from heapq import heappush, heappop
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import (Any, Callable, Deque, Generator, Iterable, List,
+                    Optional)
 
 __all__ = [
     "Event",
@@ -72,10 +82,6 @@ _DISPATCHED = object()
 
 #: Shared empty args tuple for event heap entries.
 _NO_ARGS = ()
-
-#: Same-timestamp entries dispatched straight off the heap before the
-#: run loop switches to drain-mode batching (see :meth:`Simulator.run`).
-_BATCH_INLINE = 8
 
 
 class SimulationError(RuntimeError):
@@ -142,8 +148,8 @@ class Event:
         self._triggered = True
         self._value = value
         sim = self.sim
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._queue, (sim._now, seq, self, _NO_ARGS))
+        sim._seq += 1
+        sim._lane.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -154,21 +160,19 @@ class Event:
         self._ok = False
         self._value = exception
         sim = self.sim
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._queue, (sim._now, seq, self, _NO_ARGS))
+        sim._seq += 1
+        sim._lane.append(self)
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         """Run *fn(event)* when the event fires (immediately if it has)."""
         cbs = self.callbacks
         if cbs is _DISPATCHED:
-            # Already dispatched: run at the current time via the queue so
+            # Already dispatched: run at the current time via the lane so
             # ordering relative to other scheduled work stays consistent.
-            # Pushed directly (no schedule() wrapper, no closure) -- the
-            # same entry shape the direct-resume path uses.
             sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            heappush(sim._queue, (sim._now, seq, fn, (self,)))
+            sim._seq += 1
+            sim._lane.append(partial(fn, self))
         elif cbs is None:
             self.callbacks = [fn]
         else:
@@ -230,7 +234,12 @@ class Timeout(Event):
         self._ok = True
         self._triggered = False
         sim._seq = seq = sim._seq + 1
-        heappush(sim._queue, (sim._now + delay, seq, self, _NO_ARGS))
+        now = sim._now
+        at = now + delay
+        if at == now:
+            sim._lane.append(self)
+        else:
+            heappush(sim._queue, (at, seq, self, _NO_ARGS))
 
     def trigger(self, value: Any = None) -> "Event":
         raise SimulationError("a Timeout fires by itself; trigger() is "
@@ -272,9 +281,10 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Optional[Event] = None
-        # Bootstrap: start the generator at the current time.
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._queue, (sim._now, seq, self._resume, (None, None)))
+        # Bootstrap: start the generator at the current time (``_resume``
+        # defaults to a plain start, so the bound method is a lane entry).
+        sim._seq += 1
+        sim._lane.append(self._resume)
 
     @property
     def is_alive(self) -> bool:
@@ -305,7 +315,8 @@ class Process(Event):
         else:
             self._resume(None, event.value)
 
-    def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
+    def _resume(self, value: Any = None,
+                exc: Optional[BaseException] = None) -> None:
         if self._triggered:
             return
         try:
@@ -412,6 +423,8 @@ class Simulator:
 
     All model components hold a reference to one ``Simulator`` and use
     :meth:`timeout`, :meth:`event`, and :meth:`process` to build behaviour.
+    Callbacks due later wait in a heap; callbacks due at the current time
+    wait in the FIFO now-lane (see the module docstring).
     """
 
     def __init__(self) -> None:
@@ -421,6 +434,7 @@ class Simulator:
         self.now = 0.0
         self._now = 0.0
         self._queue: List[tuple] = []
+        self._lane: Deque[Callable[[], Any]] = deque()
         self._seq = 0
         self._running = False
         self._resources: List[Any] = []
@@ -453,8 +467,18 @@ class Simulator:
         """Run ``fn(*args)`` after *delay* microseconds."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        self._seq += 1
-        heappush(self._queue, (self._now + delay, self._seq, fn, args))
+        self._seq = seq = self._seq + 1
+        now = self._now
+        at = now + delay
+        if at == now:
+            self._lane.append(partial(fn, *args) if args else fn)
+        else:
+            heappush(self._queue, (at, seq, fn, args))
+
+    @property
+    def pending(self) -> int:
+        """Number of scheduled callbacks not yet dispatched."""
+        return len(self._queue) + len(self._lane)
 
     # -- execution ----------------------------------------------------------
 
@@ -463,79 +487,66 @@ class Simulator:
 
         Returns the simulation time at which execution stopped.
 
-        Crowded timestamps dispatch in *batches*: once more than
-        ``_BATCH_INLINE`` entries share the current time, the rest of
-        the batch is drained off the heap into a flat list first, then
-        the list is walked and dispatched.  Entries pushed at the
-        current time *during* the walk carry strictly higher sequence
-        numbers than everything drained before them (the counter only
-        ever increments), so re-draining after the walk preserves the
-        exact global ``(time, seq)`` order the one-pop-at-a-time loop
-        produced -- batching changes how entries are pulled, never when
-        their callbacks run.
+        Each instant ``T`` runs in two phases: first the heap entries
+        due at ``T``, then the now-lane until it is empty, including
+        lane entries appended while it drains.  Only then does the
+        clock advance to the next heap entry.  If a callback raises, the
+        entries behind it stay queued and the next :meth:`run` or
+        :meth:`step` resumes the instant where it stopped.
         """
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
         try:
             queue = self._queue
+            lane = self._lane
             pop = heappop
-            batch: List[tuple] = []
-            append = batch.append
-            while queue:
+            popleft = lane.popleft
+            time = self._now
+            while True:
+                # Heap entries due now were pushed before the clock
+                # reached now, so they precede every lane entry.
+                while queue and queue[0][0] == time:
+                    entry = pop(queue)
+                    entry[2](*entry[3])
+                while lane:
+                    popleft()()
+                if not queue:
+                    if until is not None and until > time:
+                        self.now = self._now = until
+                    break
                 time = queue[0][0]
                 if until is not None and time > until:
                     self.now = self._now = until
                     break
                 self.now = self._now = time
-                # Small batches (the common case on sparse-timestamp
-                # workloads) dispatch straight off the heap, exactly
-                # like the pre-batching loop.  Once a timestamp proves
-                # crowded, switch to drain mode: pull the rest of the
-                # batch into a flat list back to back -- popping
-                # without interleaved pushes keeps the heap shrinking
-                # monotonically, which is where the batch win comes
-                # from -- then walk the list.
-                entry = pop(queue)
-                entry[2](*entry[3])
-                count = 0
-                while queue and queue[0][0] == time:
-                    entry = pop(queue)
-                    entry[2](*entry[3])
-                    count += 1
-                    if count == _BATCH_INLINE:
-                        break
-                else:
-                    continue
-                while True:
-                    while queue and queue[0][0] == time:
-                        append(pop(queue))
-                    if not batch:
-                        break
-                    try:
-                        for entry in batch:
-                            entry[2](*entry[3])
-                    except BaseException:
-                        # A dispatch raised mid-batch: put the entries
-                        # that never ran back on the heap so the queue
-                        # holds exactly what the one-pop-at-a-time loop
-                        # would have left behind.
-                        raised_by = entry
-                        restore = False
-                        for entry in batch:
-                            if restore:
-                                heappush(queue, entry)
-                            elif entry is raised_by:
-                                restore = True
-                        del batch[:]
-                        raise
-                    del batch[:]
-            else:
-                if until is not None and until > self._now:
-                    self.now = self._now = until
         finally:
             self._running = False
         return self._now
+
+    def step(self) -> bool:
+        """Execute a single queued callback; return False if none is queued.
+
+        Dispatches in the same order as :meth:`run`: a heap entry due at
+        the current time, else the oldest lane entry, else the next heap
+        entry (advancing the clock).
+        """
+        queue = self._queue
+        if not (queue and queue[0][0] == self._now) and self._lane:
+            self._lane.popleft()()
+            return True
+        if not queue:
+            return False
+        time, _seq, fn, args = heappop(queue)
+        self.now = self._now = time
+        fn(*args)
+        return True
+
+    def peek(self) -> Optional[float]:
+        """Time of the next queued callback, or None if nothing is queued."""
+        if self._lane:
+            return self._now
+        return self._queue[0][0] if self._queue else None
 
     # -- introspection -------------------------------------------------------
 
@@ -563,22 +574,30 @@ class Simulator:
         return lines
 
     def pending_summary(self, limit: int = 8) -> List[str]:
-        """Describe up to *limit* scheduled callbacks (soonest first).
+        """Describe up to *limit* scheduled callbacks (in dispatch order).
 
         Names the owning process where one can be identified, so a
         failed quiescence check reports *who* still has work queued
         rather than just a count.
         """
-        entries = sorted(self._queue)[:limit]
+        now = self._now
+        heap = [(time, fn) for time, _seq, fn, _args in sorted(self._queue)]
+        due = 0
+        while due < len(heap) and heap[due][0] <= now:
+            due += 1
+        entries = (heap[:due] + [(now, fn) for fn in self._lane]
+                   + heap[due:])
         lines = [f"t={time:.3f}us {self._describe_callback(fn)}"
-                 for time, _seq, fn, _args in entries]
-        extra = len(self._queue) - len(entries)
+                 for time, fn in entries[:limit]]
+        extra = len(entries) - limit
         if extra > 0:
             lines.append(f"... and {extra} more")
         return lines
 
     @staticmethod
     def _describe_callback(fn: Any) -> str:
+        if isinstance(fn, partial):
+            fn = fn.func
         if isinstance(fn, Process):
             return f"process {fn.name!r} completion"
         if isinstance(fn, Event):
@@ -601,17 +620,18 @@ class Simulator:
         """Checkpoint the kernel: only legal at a *quiescent point*.
 
         Python generators cannot be serialized, so the kernel refuses to
-        snapshot while any callback is scheduled -- the event queue must
-        be empty (every process parked on an untriggered event, or
-        finished).  ``run()`` without an ``until`` bound drains to
-        exactly this state.  Returns a JSON-able dict holding the clock
-        and the event sequence counter; restoring both makes events
-        scheduled after the restore carry the same ``(time, seq)`` keys
-        as they would in an uninterrupted run.
+        snapshot while any callback is scheduled -- the heap and the
+        now-lane must both be empty (every process parked on an
+        untriggered event, or finished).  ``run()`` without an ``until``
+        bound drains to exactly this state.  Returns a JSON-able dict
+        holding the clock and the event sequence counter; restoring both
+        makes events scheduled after the restore carry the same ``(time,
+        seq)`` keys as they would in an uninterrupted run.
         """
-        if self._queue:
+        pending = self.pending
+        if pending:
             message = (
-                f"cannot snapshot: {len(self._queue)} callback(s) still "
+                f"cannot snapshot: {pending} callback(s) still "
                 "scheduled (snapshot only at a quiescent point -- run the "
                 "simulation to completion first); pending: "
                 + "; ".join(self.pending_summary())
@@ -627,26 +647,13 @@ class Simulator:
     def restore_state(self, state: dict) -> None:
         """Restore a :meth:`snapshot_state` checkpoint onto this kernel.
 
-        The queue must be empty (drain any bootstrap events first --
+        Nothing may be scheduled (drain any bootstrap events first --
         e.g. freshly respawned background processes -- so their entries
         do not carry pre-restore sequence numbers into the future).
         """
-        if self._queue:
+        if self.pending:
             raise SimulationError(
                 "cannot restore into a simulator with scheduled callbacks"
             )
         self.now = self._now = float(state["now"])
         self._seq = int(state["seq"])
-
-    def step(self) -> bool:
-        """Execute a single queued callback; return False if queue empty."""
-        if not self._queue:
-            return False
-        time, _seq, fn, args = heapq.heappop(self._queue)
-        self.now = self._now = time
-        fn(*args)
-        return True
-
-    def peek(self) -> Optional[float]:
-        """Time of the next queued callback, or None if the queue is empty."""
-        return self._queue[0][0] if self._queue else None

@@ -11,13 +11,15 @@ Three resources model every point of contention in the SSD:
   processes.  Used for command queues inside flash controllers.
 
 All completion notifications are kernel :class:`~repro.sim.kernel.Event`
-objects, so processes simply ``yield`` them.
+objects (a link's :class:`Transfer` is one itself), so processes simply
+``yield`` them.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import partial
 from heapq import heappush
 from typing import Any, Deque, List, Optional, Tuple
 
@@ -252,20 +254,30 @@ class TokenPool:
         return message
 
 
-class Transfer:
-    """A pending or in-flight transfer on a :class:`Link`."""
+class Transfer(Event):
+    """A pending or in-flight transfer on a :class:`Link`.
 
-    __slots__ = ("nbytes", "traffic_class", "priority", "done", "enqueued_at",
+    A transfer is its own completion event: :meth:`Link.transfer` returns
+    it, and it fires when the link finishes serving it, with the
+    queueing delay as its value.  Processes simply ``yield`` it.
+    """
+
+    __slots__ = ("nbytes", "traffic_class", "priority", "enqueued_at",
                  "started_at", "start_event")
 
-    def __init__(self, nbytes: int, traffic_class: str, priority: int,
-                 done: Event, enqueued_at: float,
-                 start_event: Optional[Event] = None):
+    def __init__(self, sim: Simulator, nbytes: int, traffic_class: str,
+                 priority: int, start_event: Optional[Event] = None):
+        # Inlined Event.__init__: one transfer is built per link hop.
+        self.sim = sim
+        self.callbacks = None
+        self._waiter = None
+        self._value = None
+        self._ok = True
+        self._triggered = False
         self.nbytes = nbytes
         self.traffic_class = traffic_class
         self.priority = priority
-        self.done = done
-        self.enqueued_at = enqueued_at
+        self.enqueued_at = sim._now
         self.started_at: Optional[float] = None
         self.start_event = start_event
 
@@ -327,45 +339,43 @@ class Link:
         return nbytes / self.bandwidth
 
     def transfer(self, nbytes: int, traffic_class: str = "io",
-                 priority: int = 0) -> Event:
-        """Queue a transfer; the returned event fires on completion.
+                 priority: int = 0) -> Transfer:
+        """Queue a transfer; the returned :class:`Transfer` fires on completion.
 
-        The event value is the queueing delay (time spent waiting for the
-        link before service began), which latency-breakdown experiments
-        use to attribute contention to this link.
+        The transfer's event value is the queueing delay (time spent
+        waiting for the link before service began), which
+        latency-breakdown experiments use to attribute contention to
+        this link.
         """
         if nbytes <= 0:
             raise ValueError(f"transfer size must be positive, got {nbytes}")
-        done = self.sim.event()
-        item = Transfer(nbytes, traffic_class, priority, done, self.sim._now)
+        item = Transfer(self.sim, nbytes, traffic_class, priority)
         if self._busy:
             self._seq += 1
             heapq.heappush(self._queue, (priority, self._seq, item))
         else:
             self._start(item)
-        return done
+        return item
 
     def transfer_with_start(self, nbytes: int, traffic_class: str = "io",
-                            priority: int = 0) -> Tuple[Event, Event]:
+                            priority: int = 0) -> Tuple[Event, Transfer]:
         """Like :meth:`transfer`, also returning a service-start event.
 
-        Returns ``(start, done)``: *start* fires the moment the link
-        begins serving this transfer (after any queueing), *done* fires
-        at completion.  Cut-through NoC hops use *start* to forward the
-        packet header while the tail is still serializing.
+        Returns ``(start, transfer)``: *start* fires the moment the link
+        begins serving this transfer (after any queueing), *transfer*
+        fires at completion.  Cut-through NoC hops use *start* to
+        forward the packet header while the tail is still serializing.
         """
         if nbytes <= 0:
             raise ValueError(f"transfer size must be positive, got {nbytes}")
-        done = self.sim.event()
         start = self.sim.event()
-        item = Transfer(nbytes, traffic_class, priority, done, self.sim._now,
-                        start_event=start)
+        item = Transfer(self.sim, nbytes, traffic_class, priority, start)
         if self._busy:
             self._seq += 1
             heapq.heappush(self._queue, (priority, self._seq, item))
         else:
             self._start(item)
-        return start, done
+        return start, item
 
     def _start(self, item: Transfer) -> None:
         self._busy = True
@@ -377,18 +387,34 @@ class Link:
         nbytes = item.nbytes
         duration = nbytes / self.bandwidth
         end = start + duration
-        self.busy_bins.add_interval(start, end)
+        # TimeBins.add_interval/add inlined for the common case of a
+        # transfer inside one bin (same float expressions).  The
+        # per-class byte bins are built with (and checkpointed beside)
+        # the busy bins' width, so one index serves both.
+        busy_bins = self.busy_bins
+        width = busy_bins.width
+        index = int(start // width)
+        if index == int(end // width):
+            if end > start:
+                bins = busy_bins._bins
+                bins[index] = bins.get(index, 0.0) + (end - start)
+        else:
+            busy_bins.add_interval(start, end)
         cls = item.traffic_class
         busy_time = self.busy_time
         busy_time[cls] = busy_time.get(cls, 0.0) + duration
         bytes_moved = self.bytes_moved
         bytes_moved[cls] = bytes_moved.get(cls, 0) + nbytes
-        bins = self.byte_bins.get(cls)
-        if bins is None:
-            bins = self.byte_bins[cls] = TimeBins(self.busy_bins.width)
-        bins.add(start, nbytes)
+        byte_bins = self.byte_bins.get(cls)
+        if byte_bins is None:
+            byte_bins = self.byte_bins[cls] = TimeBins(width)
+        bins = byte_bins._bins
+        bins[index] = bins.get(index, 0.0) + nbytes
         sim._seq = seq = sim._seq + 1
-        heappush(sim._queue, (end, seq, self._finish_cb, (item,)))
+        if end == start:
+            sim._lane.append(partial(self._finish, item))
+        else:
+            heappush(sim._queue, (end, seq, self._finish_cb, (item,)))
 
     def _finish(self, item: Transfer) -> None:
         self._busy = False
@@ -403,7 +429,7 @@ class Link:
         if self._queue:
             _prio, _seq, nxt = heapq.heappop(self._queue)
             self._start(nxt)
-        item.done.trigger(wait)
+        item.trigger(wait)
 
     # -- reporting ----------------------------------------------------------
 

@@ -152,7 +152,7 @@ def test_snapshot_refuses_pending_events():
     """A duration-bounded run can stop mid-request; snapshot must refuse."""
     ssd = _build("baseline")
     ssd.run(_workload(), duration_us=40.0)
-    if ssd.sim._queue:
+    if ssd.sim.pending:
         with pytest.raises(SimulationError):
             ssd.snapshot()
     else:  # pragma: no cover - only if 40us happens to drain fully
@@ -297,7 +297,7 @@ def test_quiescence_report_lists_inflight_work():
     ssd.run(_workload(), max_requests=30)
     assert quiescence_report(ssd) == []
     ssd.run(_workload(), duration_us=40.0)
-    if ssd.sim._queue:
+    if ssd.sim.pending:
         report = quiescence_report(ssd)
         assert report, "mid-request device reported quiescent"
         assert any("pending" in line or "in flight" in line

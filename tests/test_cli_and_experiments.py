@@ -39,12 +39,13 @@ def test_cli_accepts_runner_flags(capsys):
     assert "Table 3" in out
 
 
-def test_cli_backend_flag_is_a_deprecated_noop(capsys):
-    assert main(["table3", "--backend", "pure"]) == 0
-    assert "Table 3" in capsys.readouterr().out
-    with pytest.raises(SystemExit):
-        main(["table3", "--backend", "legacy"])
-    capsys.readouterr()
+def test_cli_backend_flag_is_rejected(capsys):
+    for argv in (["table3", "--backend", "pure"],
+                 ["profile", "timeout_chain", "--backend", "pure"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
 
 def test_cli_help_documents_runner_flags(capsys):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Interrupt, SimulationError, Simulator
+from repro.sim import (Interrupt, Link, Resource, SimulationError, Simulator,
+                       Transfer)
 
 
 def test_timeout_advances_clock():
@@ -300,3 +301,213 @@ def test_callback_after_trigger_still_runs():
     evt.add_callback(lambda e: seen.append(e.value))
     sim.run()
     assert seen == ["x"]
+
+
+# -- the now-lane: same-time work keeps (time, seq) order -------------------
+
+def test_heap_entry_due_now_runs_before_lane_entries():
+    """Entries pushed before the clock reached T precede those pushed at T."""
+    for drive in ("run", "step"):
+        sim = Simulator()
+        log = []
+
+        def first():
+            log.append("heap-1")
+            sim.schedule(0.0, log.append, "lane")
+            sim.event().trigger()
+
+        sim.schedule(5.0, first)
+        sim.schedule(5.0, log.append, "heap-2")
+        assert sim.step()  # runs first() at t=5; heap-2 is still due now
+        assert sim.peek() == 5.0
+        if drive == "run":
+            sim.run()
+        else:
+            while sim.step():
+                pass
+        assert log == ["heap-1", "heap-2", "lane"], drive
+        assert sim.now == 5.0
+
+
+def _same_time_makers(sim, log):
+    """Ways to queue work at the current time, each logging its name."""
+    fired = sim.event()
+    fired.trigger()
+    pending = sim.event()
+    pending.add_callback(lambda e: log.append("trigger"))
+
+    def victim():
+        try:
+            yield sim.event()
+        except Interrupt:
+            log.append("interrupt")
+
+    def starter():
+        log.append("process-start")
+        yield sim.timeout(0)
+
+    proc = sim.process(victim())
+    sim.run()  # dispatch `fired` and park the victim
+    return {
+        "trigger": lambda: pending.trigger(),
+        "timeout0": lambda: sim.timeout(0).add_callback(
+            lambda e: log.append("timeout0")),
+        "schedule0": lambda: sim.schedule(0.0, log.append, "schedule0"),
+        "late-callback": lambda: fired.add_callback(
+            lambda e: log.append("late-callback")),
+        "process-start": lambda: sim.process(starter()),
+        "interrupt": lambda: proc.interrupt("stop"),
+    }
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_same_time_work_interleaves_in_sequence_order(reverse):
+    sim = Simulator()
+    log = []
+    makers = _same_time_makers(sim, log)
+    order = list(makers)[::-1] if reverse else list(makers)
+
+    def at_t3():
+        for name in order:
+            makers[name]()
+
+    sim.schedule(3.0, at_t3)
+    seq_before = sim._seq
+    sim.run()
+    assert log == order
+    assert sim.now == 3.0
+    # One sequence number per queued callback: the six makers, the
+    # starter's Timeout(0) and both processes' completions.
+    assert sim._seq - seq_before == len(order) + 3
+
+
+def test_timeout_absorbed_by_float_rounding_keeps_its_place():
+    """``now + delay == now`` is due now, so it queues behind earlier work."""
+    sim = Simulator()
+    sim.restore_state({"now": 1e17, "seq": 0})
+    log = []
+    sim.schedule(0.0, log.append, "before")
+    assert sim.now + 1.0 == sim.now
+    sim.timeout(1.0).add_callback(lambda e: log.append("absorbed"))
+    sim.schedule(0.0, log.append, "after")
+    sim.run()
+    assert log == ["before", "absorbed", "after"]
+    assert sim.now == 1e17
+
+    # A link transfer whose service time is absorbed completes in place,
+    # also when it starts while the instant is already dispatching.
+    log.clear()
+    link = Link(sim, bandwidth=1000.0)
+
+    def start_transfer():
+        sim.schedule(0.0, log.append, "before")
+        link.transfer(1).add_callback(lambda e: log.append("transfer"))
+        sim.schedule(0.0, lambda: sim.schedule(0.0, log.append, "after-2"))
+
+    sim.schedule(0.0, start_transfer)
+    sim.run()
+    assert log == ["before", "transfer", "after-2"]
+    assert sim.now == 1e17 and not link.is_busy
+
+
+def test_raising_callback_leaves_the_rest_of_the_lane_queued():
+    sim = Simulator()
+    log = []
+
+    def boom():
+        log.append("boom")
+        raise RuntimeError("boom")
+
+    sim.schedule(0.0, log.append, "a")
+    sim.schedule(0.0, boom)
+    sim.schedule(0.0, log.append, "b")
+    sim.schedule(0.0, log.append, "c")
+    sim.schedule(1.0, log.append, "later")
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert log == ["a", "boom"]
+    assert sim.pending == 3
+    assert sim.peek() == 0.0
+    sim.run()
+    assert log == ["a", "boom", "b", "c", "later"]
+    assert sim.pending == 0 and sim.now == 1.0
+
+
+def _contended_scenario(sim, log):
+    """Processes contending on a resource and a link, with joins and
+    interrupts, logging every resumption."""
+    die = Resource(sim, capacity=1, name="die")
+    link = Link(sim, bandwidth=1000.0, name="bus")
+
+    def worker(index):
+        try:
+            yield die.request(priority=index % 2)
+            log.append((sim.now, "grant", index))
+            yield sim.timeout(1.5 * index)
+            die.release()
+            wait = yield link.transfer(500 * (index + 1), "io", index % 3)
+            log.append((sim.now, "sent", index, wait))
+            start, done = link.transfer_with_start(250)
+            log.append((sim.now, "started", index, (yield start)))
+            log.append((sim.now, "done", index, (yield done)))
+        except Interrupt as exc:
+            log.append((sim.now, "interrupted", index, exc.cause))
+        return index
+
+    procs = [sim.process(worker(i), name=f"w{i}") for i in range(6)]
+
+    def joiner():
+        values = yield sim.all_of(procs[:3])
+        log.append((sim.now, "joined", values))
+
+    sim.process(joiner())
+    sim.schedule(2.0, procs[5].interrupt, "preempt")
+
+
+def test_step_driven_run_matches_run_driven_run():
+    ran, stepped = Simulator(), Simulator()
+    ran_log, step_log = [], []
+    _contended_scenario(ran, ran_log)
+    _contended_scenario(stepped, step_log)
+    ran.run()
+    while True:
+        due = stepped.peek()
+        if due is None:
+            break
+        assert stepped.step()
+        assert stepped.now == due
+    assert not stepped.step()
+    assert step_log == ran_log
+    assert (stepped.now, stepped._seq) == (ran.now, ran._seq)
+    assert any(entry[1] == "interrupted" for entry in ran_log)
+
+
+def test_snapshot_refuses_when_only_lane_entries_are_pending():
+    sim = Simulator()
+
+    def parked():
+        yield sim.event()
+
+    sim.process(parked(), name="parked")
+    assert sim.pending == 1 and sim.peek() == 0.0
+    with pytest.raises(SimulationError, match="process 'parked' resume"):
+        sim.snapshot_state()
+    with pytest.raises(SimulationError):
+        sim.restore_state({"now": 0.0, "seq": 0})
+    sim.run()
+    assert sim.pending == 0 and sim.peek() is None
+    assert sim.snapshot_state() == {"now": 0.0, "seq": 1}
+
+
+def test_link_transfer_is_its_own_event_valued_with_the_queueing_delay():
+    sim = Simulator()
+    link = Link(sim, bandwidth=1000.0)
+    first = link.transfer(1000)
+    start, second = link.transfer_with_start(2000)
+    assert isinstance(first, Transfer) and isinstance(second, Transfer)
+    assert not first.triggered and not start.triggered
+    sim.run()
+    assert first.value == 0.0
+    assert start.value == pytest.approx(1.0)
+    assert second.value == pytest.approx(1.0)
+    assert sim.now == pytest.approx(3.0)
