@@ -246,8 +246,12 @@ class FlashBackend:
         Pre-conditioning hook: lets experiment setup declare prefilled
         blocks readable without simulating the fill traffic.
         """
-        state = self.block_state(addr)
-        state.programmed = set(range(self.geometry.pages_per_block))
+        self.mark_block_programmed_at(self.geometry.block_index(addr))
+
+    def mark_block_programmed_at(self, block_index: int) -> None:
+        """:meth:`mark_block_programmed` for global *block_index*."""
+        self._block_state_at(block_index).programmed = set(
+            range(self.geometry.pages_per_block))
 
     def multiplane(self, addrs: Iterable[PhysAddr], op: str) -> Generator:
         """Execute *op* on several planes of one die as one command.

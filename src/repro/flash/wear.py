@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..errors import ConfigError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["WearModel", "PAPER_PE_MEAN", "PAPER_PE_SIGMA"]
 
@@ -62,8 +63,12 @@ class WearModel:
         """Vectorized draw of *n_blocks* limits (for the endurance sim).
 
         Uses an independent numpy generator so the scalar cache keeps its
-        own stream; pass *seed* for reproducibility across runs.
+        own stream; pass *seed* for reproducibility across runs.  numpy
+        is imported here, not at module level, so a device that never
+        calls this runs without it.
         """
+        import numpy as np
+
         rng = np.random.default_rng(self._seed if seed is None else seed)
         draws = rng.normal(self.mean, self.sigma, size=n_blocks)
         return np.maximum(self.min_limit, np.rint(draws)).astype(np.int64)

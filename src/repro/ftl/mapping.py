@@ -7,7 +7,7 @@ LPN of a valid physical page it is about to move.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from ..errors import MappingError
 
@@ -76,6 +76,24 @@ class PageMappingTable:
         self._forward[lpn] = new_ppn
         self._reverse[new_ppn] = lpn
         return lpn
+
+    def fill(self, ppns: Iterable[int]) -> int:
+        """Bind LPNs ``0, 1, 2, ...`` to *ppns* in order (bulk prefill).
+
+        Only legal on an empty table.  Returns the number of LPNs bound;
+        raises :class:`MappingError` if the table already holds mappings
+        or *ppns* repeats a physical page.
+        """
+        if self._forward:
+            raise MappingError(
+                f"fill of a table already holding {len(self)} mappings")
+        forward = dict(enumerate(ppns))
+        reverse = {ppn: lpn for lpn, ppn in forward.items()}
+        if len(reverse) != len(forward):
+            raise MappingError("fill repeats a physical page")
+        self._forward = forward
+        self._reverse = reverse
+        return len(forward)
 
     # -- checkpointing ------------------------------------------------------
 

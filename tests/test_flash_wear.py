@@ -1,5 +1,8 @@
 """Unit tests for the wear / process-variation model."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -56,6 +59,16 @@ def test_limits_array_seeded_reproducible():
     a = model.limits_array(100, seed=123)
     b = model.limits_array(100, seed=123)
     assert (a == b).all()
+
+
+def test_limits_array_pinned_draws():
+    """The vectorized draw stays an int64 array of the same values."""
+    arr = WearModel(seed=11).limits_array(256, seed=7)
+    assert arr.dtype == np.int64
+    assert arr.shape == (256,)
+    digest = hashlib.sha256(arr.astype("<i8").tobytes()).hexdigest()
+    assert digest == ("261b3f4d178b06baac63333bdc2fab40"
+                      "9b923c3d34f33a4a4d1bfb79382126d8")
 
 
 def test_reset_restores_stream():
