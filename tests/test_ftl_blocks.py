@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import MappingError
+from repro.errors import AddressError, MappingError
 from repro.flash import FlashGeometry, PhysAddr
 from repro.ftl import BlockManager
 from repro.ftl.blocks import ACTIVE, BAD, FREE, FULL
@@ -145,19 +145,22 @@ def test_mark_bad_removes_from_pool():
 def test_prefill_block():
     mgr = make_manager()
     addr = GEOM.block_addr_of(2)
-    mgr.prefill_block(addr, {0, 2})
+    mgr.prefill_block(2, {0, 2})
     info = mgr.info(addr)
     assert info.state == FULL
     assert info.valid == {0, 2}
     assert mgr.free_blocks == GEOM.blocks_total - 1
     with pytest.raises(MappingError):
-        mgr.prefill_block(addr, {1})
+        mgr.prefill_block(2, {1})
+    with pytest.raises(AddressError):
+        mgr.prefill_block(3, {0, GEOM.pages_per_block})
+    assert mgr.info(GEOM.block_addr_of(3)).state == FREE
 
 
 def test_valid_pages_of_sorted():
     mgr = make_manager()
     addr = GEOM.block_addr_of(1)
-    mgr.prefill_block(addr, {3, 0, 1})
+    mgr.prefill_block(1, {3, 0, 1})
     pages = mgr.valid_pages_of(addr)
     assert [p.page for p in pages] == [0, 1, 3]
 
@@ -218,10 +221,10 @@ def test_pick_victim_skips_fully_valid_blocks():
     """Collecting a 100%-valid block frees nothing: never pick one."""
     mgr = make_manager()
     full_valid = GEOM.block_addr_of(0)
-    mgr.prefill_block(full_valid, set(range(GEOM.pages_per_block)))
+    mgr.prefill_block(0, set(range(GEOM.pages_per_block)))
     assert mgr.pick_victim(0) is None
     partial = GEOM.block_addr_of(1)
-    mgr.prefill_block(partial, {0, 1})
+    mgr.prefill_block(1, {0, 1})
     victim = mgr.pick_victim(0)
     assert victim is not None
     assert victim.block_addr() == partial.block_addr()

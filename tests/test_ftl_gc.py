@@ -50,9 +50,10 @@ def make_world(policy="pagc", valid_per_block=2, filled_fraction=0.9,
         for offset in range(GEOM.blocks_per_plane):
             if filled >= n_fill:
                 break
-            addr = GEOM.block_addr_of(plane * GEOM.blocks_per_plane + offset)
+            block_index = plane * GEOM.blocks_per_plane + offset
+            addr = GEOM.block_addr_of(block_index)
             offsets = set(range(valid_per_block))
-            blocks.prefill_block(addr, offsets)
+            blocks.prefill_block(block_index, offsets)
             for page in offsets:
                 mapping.bind(lpn, GEOM.ppn_of(addr._replace(page=page)))
                 lpn += 1

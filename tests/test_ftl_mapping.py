@@ -66,6 +66,25 @@ def test_move_to_occupied_ppn_rejected():
         table.move(100, 200)
 
 
+def test_fill_binds_lpns_in_order():
+    table = PageMappingTable()
+    assert table.fill([40, 7, 13]) == 3
+    assert [table.lookup(lpn) for lpn in range(3)] == [40, 7, 13]
+    assert table.reverse_lookup(7) == 1
+    table.check_consistency()
+    # Only an empty table can be bulk-filled.
+    with pytest.raises(MappingError):
+        table.fill([99])
+    assert len(table) == 3
+
+
+def test_fill_rejects_repeated_ppn():
+    table = PageMappingTable()
+    with pytest.raises(MappingError):
+        table.fill([5, 6, 5])
+    assert len(table) == 0
+
+
 def test_unbind():
     table = PageMappingTable()
     table.bind(1, 100)
