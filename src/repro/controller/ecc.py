@@ -38,6 +38,7 @@ class EccEngine:
         self.throughput = throughput
         self.fixed_latency_us = fixed_latency_us
         self.name = name
+        self._owner = name or "ecc"
         self._lanes = Resource(sim, capacity=lanes, name=name)
         self.pages_checked = 0
         self.busy_time = 0.0
@@ -62,18 +63,35 @@ class EccEngine:
         if scale <= 0:
             raise ConfigError(f"ECC decode scale must be positive: {scale}")
         t_request = self.sim.now
-        grant = self._lanes.request(priority, owner=self.name or "ecc")
+        grant = self.request_lane(priority)
         service_start = None
         try:
             yield grant
             service_start = self.sim.now
             yield self.sim.timeout(self.decode_time(nbytes) * scale)
         finally:
-            if service_start is not None:
-                self.busy_time += self.sim.now - service_start
-                self.pages_checked += 1
-            self._lanes.cancel(grant)
+            self.release_lane(grant, service_start)
         return service_start - t_request
+
+    def request_lane(self, priority: int = 0):
+        """Event granting one decode lane (the start of a check segment).
+
+        Datapaths that inline the decode in their own generator frame
+        yield this grant, hold the lane for :meth:`decode_time`, and
+        hand it back with :meth:`release_lane` in a ``finally``.
+        """
+        return self._lanes.request(priority, owner=self._owner)
+
+    def release_lane(self, grant, service_start) -> None:
+        """Return a lane from :meth:`request_lane`, settling the meters.
+
+        *service_start* is when the decode began, or ``None`` if the
+        lane was never granted (the request is simply withdrawn).
+        """
+        if service_start is not None:
+            self.busy_time += self.sim.now - service_start
+            self.pages_checked += 1
+        self._lanes.cancel(grant)
 
     def utilization(self, horizon: float = None) -> float:
         """Busy fraction of the engine (sums over lanes)."""

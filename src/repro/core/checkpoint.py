@@ -529,6 +529,6 @@ def fastforward_wear(ssd, pe_fraction: float,
         count = int(pe_fraction * limit)
         if count <= 0:
             continue
-        ssd.backend._block_state_at(index).erase_count = count
+        ssd.backend.block_state_at(index).erase_count = count
         applied += count
     return applied

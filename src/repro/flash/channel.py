@@ -41,7 +41,8 @@ class FlashChannel:
         #: Command/address overhead expressed as bytes-equivalent bus
         #: occupancy -- resolved once (both parameters are fixed at
         #: construction) instead of per transaction on the hot path.
-        self._overhead_bytes = int(cmd_overhead_us * self.link.bandwidth)
+        #: Datapaths driving :attr:`link` directly add it to every page.
+        self.overhead_bytes = int(cmd_overhead_us * self.link.bandwidth)
 
     @property
     def bandwidth(self) -> float:
@@ -61,7 +62,7 @@ class FlashChannel:
         if priority is None:
             priority = -1 if traffic_class == "gc" else 0
         wait = yield self.link.transfer(
-            nbytes + self._overhead_bytes, traffic_class, priority
+            nbytes + self.overhead_bytes, traffic_class, priority
         )
         return wait
 

@@ -13,7 +13,7 @@ Page *content* is not simulated; the FTL layers track logical validity.
 from __future__ import annotations
 
 import random
-from typing import Dict, Generator, Iterable, List, Optional
+from typing import Dict, Generator, Iterable, List, Optional, Tuple
 
 from ..errors import AddressError, FlashError
 from ..sim import Resource, Simulator
@@ -123,10 +123,12 @@ class FlashPlane:
 class FlashBackend:
     """The full flash array: every plane of every die, plus block state.
 
-    Array operations are exposed as generators intended to be driven by
-    flash-controller processes (``yield from backend.read(addr)``).  Each
-    returns an :class:`OpBreakdown` attributing time to plane contention
-    versus array service.
+    Page reads and programs are split into a synchronous *segment* start
+    (:meth:`begin_read` / :meth:`begin_program`: validation, the NAND
+    discipline check and the latency draw) and the plane hold, which the
+    datapath runs inline in its own generator frame.  Erases and
+    multi-plane commands are whole generators returning an
+    :class:`OpBreakdown` (plane wait versus array service).
     """
 
     def __init__(self, sim: Simulator, geometry: FlashGeometry,
@@ -145,8 +147,8 @@ class FlashBackend:
         ]
         self._blocks: Dict[int, BlockState] = {}
         # Linearization strides for addresses already validated once:
-        # read/program/erase validate up front and then index planes and
-        # blocks without re-running the per-field bounds checks.
+        # begin_read/begin_program/erase validate up front and then index
+        # planes and blocks without re-running the per-field bounds checks.
         self._plane_strides = (
             geometry.ways * geometry.dies * geometry.planes,
             geometry.dies * geometry.planes,
@@ -163,12 +165,6 @@ class FlashBackend:
         s0, s1, s2 = self._plane_strides
         return addr[0] * s0 + addr[1] * s1 + addr[2] * s2 + addr[3]
 
-    def _block_state_at(self, index: int) -> BlockState:
-        state = self._blocks.get(index)
-        if state is None:
-            state = self._blocks[index] = BlockState()
-        return state
-
     # -- state access --------------------------------------------------------
 
     def plane_of(self, addr: PhysAddr) -> FlashPlane:
@@ -177,63 +173,63 @@ class FlashBackend:
 
     def block_state(self, addr: PhysAddr) -> BlockState:
         """Mutable per-block state for the block containing *addr*."""
-        index = self.geometry.block_index(addr)
-        state = self._blocks.get(index)
+        return self.block_state_at(self.geometry.block_index(addr))
+
+    def block_state_at(self, block_index: int) -> BlockState:
+        """:meth:`block_state` for global *block_index*."""
+        state = self._blocks.get(block_index)
         if state is None:
-            state = self._blocks[index] = BlockState()
+            state = self._blocks[block_index] = BlockState()
         return state
 
     def erase_count(self, addr: PhysAddr) -> int:
         """P/E cycles performed on the block containing *addr*."""
         return self.block_state(addr).erase_count
 
-    # -- latency draws ---------------------------------------------------------
-
-    def _read_latency(self) -> float:
-        if self.deterministic_timing:
-            return self._read_mid
-        return self.timing.sample_read(self._rng)
-
-    def _program_latency(self) -> float:
-        if self.deterministic_timing:
-            return self._program_mid
-        return self.timing.sample_program(self._rng)
-
     # -- array operations --------------------------------------------------------
 
-    def read(self, addr: PhysAddr) -> Generator:
-        """Read one page from the array into the plane's page register."""
+    def begin_read(self, addr: PhysAddr) -> Tuple[FlashPlane, float]:
+        """Start a page read: ``(plane, array time)`` for the caller to hold.
+
+        Validates *addr*, rejects a read of an unwritten page and draws
+        the read latency; the caller then occupies the plane for that
+        long (inline, or through :meth:`FlashPlane.occupy`).
+        """
         self.geometry.validate(addr)
         plane_id = self._plane_id(addr)
         if self.enforce_discipline:
-            state = self._block_state_at(
-                plane_id * self.geometry.blocks_per_plane + addr[4])
+            state = self.block_state_at(
+                plane_id * self._blocks_per_plane + addr[4])
             if addr[5] not in state.programmed:
                 raise FlashError(f"read of unwritten page {addr}")
-        duration = self._read_latency()
-        wait = yield from self.planes[plane_id].occupy(duration, "read")
-        return OpBreakdown(wait, duration)
+        duration = (self._read_mid if self.deterministic_timing
+                    else self.timing.sample_read(self._rng))
+        return self.planes[plane_id], duration
 
-    def program(self, addr: PhysAddr) -> Generator:
-        """Program one page (reprogram without erase is rejected)."""
+    def begin_program(self, addr: PhysAddr) -> Tuple[FlashPlane, float]:
+        """Start a page program: ``(plane, array time)`` for the caller.
+
+        Validates *addr*, rejects a reprogram without erase, marks the
+        page programmed and draws the program latency.
+        """
         self.geometry.validate(addr)
         plane_id = self._plane_id(addr)
         if self.enforce_discipline:
-            state = self._block_state_at(
-                plane_id * self.geometry.blocks_per_plane + addr[4])
+            state = self.block_state_at(
+                plane_id * self._blocks_per_plane + addr[4])
             if addr[5] in state.programmed:
                 raise FlashError(f"reprogram of page {addr} without erase")
             state.programmed.add(addr[5])
-        duration = self._program_latency()
-        wait = yield from self.planes[plane_id].occupy(duration, "program")
-        return OpBreakdown(wait, duration)
+        duration = (self._program_mid if self.deterministic_timing
+                    else self.timing.sample_program(self._rng))
+        return self.planes[plane_id], duration
 
     def erase(self, addr: PhysAddr) -> Generator:
         """Erase the block containing *addr*."""
         self.geometry.validate(addr)
         plane_id = self._plane_id(addr)
-        state = self._block_state_at(
-            plane_id * self.geometry.blocks_per_plane + addr[4])
+        state = self.block_state_at(
+            plane_id * self._blocks_per_plane + addr[4])
         state.programmed.clear()
         state.erase_count += 1
         plane = self.planes[plane_id]
@@ -250,7 +246,7 @@ class FlashBackend:
 
     def mark_block_programmed_at(self, block_index: int) -> None:
         """:meth:`mark_block_programmed` for global *block_index*."""
-        self._block_state_at(block_index).programmed = set(
+        self.block_state_at(block_index).programmed = set(
             range(self.geometry.pages_per_block))
 
     def multiplane(self, addrs: Iterable[PhysAddr], op: str) -> Generator:
@@ -275,9 +271,11 @@ class FlashBackend:
             plane_ids.add(plane_id)
 
         if op == "read":
-            duration = self._read_latency()
+            duration = (self._read_mid if self.deterministic_timing
+                        else self.timing.sample_read(self._rng))
         elif op == "program":
-            duration = self._program_latency()
+            duration = (self._program_mid if self.deterministic_timing
+                        else self.timing.sample_program(self._rng))
         elif op == "erase":
             duration = self.timing.erase_us
         else:

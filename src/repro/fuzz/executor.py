@@ -106,15 +106,6 @@ def build_config(config: GenomeConfig) -> SSDConfig:
 
 def _build_device(config: GenomeConfig) -> SimulatedSSD:
     ssd = SimulatedSSD(build_config(config))
-    # Pinned off: the flat datapath/controller fast path collapses the
-    # layered generators' edge coverage (and their try/finally cleanup
-    # paths) into a couple of straight-line frames, starving the
-    # mutation search and shifting corpus hashes.  Fuzzing always
-    # exercises the layered reference semantics; the flat path is held
-    # byte-identical to it by the equivalence suite instead.
-    ssd.datapath.use_flat_path = False
-    for controller in ssd.controllers:
-        controller.use_flat_path = False
     canary.maybe_install(ssd)
     ssd.prefill()
     ssd.ftl.start()

@@ -250,7 +250,7 @@ def test_fastforward_wear_uniform_mean():
     geometry = ssd.config.geometry
     blocks = geometry.planes_total * geometry.blocks_per_plane
     assert applied == blocks * 500
-    assert ssd.backend._block_state_at(0).erase_count == 500
+    assert ssd.backend.block_state_at(0).erase_count == 500
 
 
 def test_fastforward_wear_uses_per_block_limits():
@@ -258,10 +258,10 @@ def test_fastforward_wear_uses_per_block_limits():
     ssd = _build("baseline", reliability=reliability)
     fastforward_wear(ssd, 0.8)
     wear = ssd.reliability.rber_model.wear
-    counts = {ssd.backend._block_state_at(i).erase_count
+    counts = {ssd.backend.block_state_at(i).erase_count
               for i in range(64)}
     assert len(counts) > 1  # Gaussian limits -> heterogeneous ages
-    assert ssd.backend._block_state_at(3).erase_count == int(
+    assert ssd.backend.block_state_at(3).erase_count == int(
         0.8 * wear.limit_for(3))
 
 
@@ -276,7 +276,7 @@ def test_fastforward_wear_rejects_bad_fraction():
 def test_fastforward_wear_zero_is_noop():
     ssd = _build("baseline")
     assert fastforward_wear(ssd, 0.0) == 0
-    assert ssd.backend._block_state_at(0).erase_count == 0
+    assert ssd.backend.block_state_at(0).erase_count == 0
 
 
 def test_pending_event_refusal_names_the_culprit():

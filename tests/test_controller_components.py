@@ -70,11 +70,11 @@ def test_dram_ports_are_independent():
     done = []
 
     def reader(sim):
-        yield from dram.access(4000, direction="read")
+        yield dram.read_link.transfer(4000)
         done.append(("r", sim.now))
 
     def writer(sim):
-        yield from dram.access(4000, direction="write")
+        yield dram.write_link.transfer(4000)
         done.append(("w", sim.now))
 
     sim.process(reader(sim))
