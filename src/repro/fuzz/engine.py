@@ -4,8 +4,10 @@ Determinism across ``--jobs`` is the core design constraint (the smoke
 CI gate compares corpus hashes across runs *and* worker counts), and it
 falls out of three rules:
 
-1. every generation's candidate batch is derived from the seeded RNG
-   and the current corpus *before* any execution is dispatched;
+1. every generation's candidate batch -- a fixed
+   :data:`GENERATION_SIZE` mutants, whatever the worker count -- is
+   derived from the seeded RNG and the current corpus *before* any
+   execution is dispatched;
 2. executions are pure functions of the genome (pinned device seed), so
    where they run cannot matter;
 3. results are folded into the corpus in batch order (``pool.map``
@@ -48,14 +50,21 @@ SMOKE_EXECS = 120
 SMOKE_DIFF_EXECS = 48
 
 #: Pinned floor of distinct coverage edges a smoke run must reach
-#: (~1300 observed on CPython 3.11's settrace path; the floor sits at
-#: ~70% of that to absorb interpreter-version line-numbering drift).
+#: (1265 observed at ``--seed 7`` on CPython 3.11's settrace path; the
+#: floor sits at ~70% of that to absorb interpreter-version
+#: line-numbering drift).
 SMOKE_MIN_EDGES = 900
 
-#: Edge floor for the differential smoke (~490 observed: the smaller
+#: Edge floor for the differential smoke (608 observed: the smaller
 #: exec budget plus zeroed reliability knobs in every pair prune the
 #: reliability/ edges; same ~70% headroom policy).
 SMOKE_DIFF_MIN_EDGES = 350
+
+#: Mutants bred per generation.  Fixed rather than scaled with
+#: ``--jobs``: parents are picked before a generation's outcomes fold,
+#: so a generation size that followed the worker count would make the
+#: corpus (and its hash) depend on ``--jobs``.
+GENERATION_SIZE = 8
 
 #: ddmin probe budget per minimization.
 MINIMIZE_TESTS = 150
@@ -210,8 +219,8 @@ def run_fuzz(seed: int = 7,
     # Phase 2: coverage-guided mutation generations.
     while not out_of_budget() and len(corpus):
         remaining = (execs - report.executions
-                     if execs is not None else max(jobs, 1) * 2)
-        batch_size = max(1, min(max(jobs, 1) * 2, remaining))
+                     if execs is not None else GENERATION_SIZE)
+        batch_size = max(1, min(GENERATION_SIZE, remaining))
         batch = []
         for _ in range(batch_size):
             parent = corpus.pick(rng)

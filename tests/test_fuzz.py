@@ -286,6 +286,25 @@ def test_smoke_run_reaches_pinned_edge_floor(tmp_path):
     assert payload["corpus_hash"] == report.corpus_hash
 
 
+def test_generations_do_not_follow_jobs(monkeypatch):
+    """The corpus must be a function of seed and budget, not --jobs.
+
+    Executions are stubbed with a genome-derived edge so novelty (and
+    with it the parent weights) changes mid-run; a generation size that
+    scaled with the worker count would then breed different mutants.
+    """
+    from repro.fuzz import engine
+
+    def fake_batch(batch, jobs, differential=False):
+        return [{"edges": [genome.content_hash()[:2]], "features": [],
+                 "violations": []} for genome in batch]
+
+    monkeypatch.setattr(engine, "_execute_batch", fake_batch)
+    reports = [run_fuzz(seed=7, execs=64, jobs=jobs) for jobs in (1, 3, 4)]
+    assert len({r.corpus_hash for r in reports}) == 1
+    assert reports[0].corpus_size > len(make_seeds())
+
+
 def test_fuzz_is_deterministic_across_runs_and_jobs():
     # 32 executions, not 24: the allocator's O(1) readiness cache
     # removed the plane-scan loop edges, so the first mutation
